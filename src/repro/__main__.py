@@ -125,7 +125,7 @@ def _print_session_stats(session, out) -> None:
         )
     for handle, fn in bytecode.items():
         out.write(f"CompiledFunction[{handle}]: {fn.stats().summary()}\n")
-    elided = {"int64": 0, "bounds": 0, "checkpoints": 0}
+    elided = {"int64": 0, "bounds": 0}
     for fn in compiled.values():
         program = getattr(fn, "program", None)
         if program is None:
@@ -134,14 +134,10 @@ def _print_session_stats(session, out) -> None:
             information = function.information
             elided["int64"] += information.get("OverflowChecksElided", 0)
             elided["bounds"] += information.get("IndexChecksElided", 0)
-            elided["checkpoints"] += information.get(
-                "CheckpointsCoalesced", 0
-            )
     if any(elided.values()):
         out.write(
             f"checks elided: {elided['int64']} int64, "
-            f"{elided['bounds']} bounds, "
-            f"{elided['checkpoints']} checkpoints\n"
+            f"{elided['bounds']} bounds\n"
         )
     records = failure_records()
     if records:

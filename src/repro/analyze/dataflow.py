@@ -24,8 +24,6 @@ with three abstract domains over one engine:
 **Purity/effect lattice**
     ``pure < local < effectful`` per function: pure primitives only,
     local allocation/mutation, or calls whose effects we cannot see.
-    Statically bounded loops of local effect are the ones whose abort
-    checkpoints may be coalesced into the enclosing checkpoint.
 
 The engine is an optimistic ascending Kleene iteration in reverse
 postorder with per-value widening (a bound that keeps moving is dropped
@@ -40,8 +38,8 @@ dominates.
 
 Facts are exposed as a :class:`FunctionFacts` per function, collected
 into a :class:`FactMap` attached to ``program.metadata["dataflow"]`` by
-the pipeline.  Consumers: the check-elision and checkpoint-coalescing
-passes (:mod:`repro.compiler.twir.check_elision`), the verifier's
+the pipeline.  Consumers: the check-elision pass
+(:mod:`repro.compiler.twir.check_elision`), the verifier's
 fact-consistency rules (:mod:`repro.analyze.verify`), and the lint
 interval checks (:mod:`repro.analyze.lint`).
 """
@@ -80,11 +78,6 @@ LENGTH_BOUND = 1 << 48
 #: a value whose interval is still tightening after this many updates is
 #: widened (the moving bound drops to unbounded)
 WIDEN_AFTER = 12
-
-#: statically bounded loops below this trip count may coalesce their
-#: abort checkpoint into the enclosing one (the prologue checkpoint and
-#: any outer loop's checkpoint still poll)
-COALESCE_TRIP_LIMIT = 1 << 14
 
 EFFECT_PURE = "pure"
 EFFECT_LOCAL = "local"

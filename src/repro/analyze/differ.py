@@ -29,7 +29,7 @@ passes (DESIGN.md §12): :class:`_BoundaryGenerator` biases programs
 toward the exact inputs where an unsound elision would diverge —
 ``INT64_MAX±1`` constants feeding checked arithmetic, empty and
 short arrays, off-by-one ``Part`` indices, and statically bounded
-loops (the checkpoint-coalescing shape).  :class:`ElisionOracle`
+loops (trip-bound facts).  :class:`ElisionOracle`
 compiles each program twice — ``ElideChecks -> True`` vs ``False`` —
 and demands bit-identical results *including the error class*: a
 trapped overflow on the checked side must still trap (or be provably
@@ -523,10 +523,10 @@ class _BoundarySpec:
 class _BoundaryGenerator:
     """Seeded programs biased toward elision-breaking inputs.
 
-    Every shape targets one of the three fact-driven deletions: checked
-    arithmetic fed ``INT64_MAX±1`` (overflow elision), ``Part`` with
-    off-by-one and empty-array indices (bounds elision), and statically
-    bounded ``Do`` loops (checkpoint coalescing).
+    Every shape targets the fact-driven deletions: checked arithmetic fed
+    ``INT64_MAX±1`` (overflow elision), ``Part`` with off-by-one and
+    empty-array indices (bounds elision), and statically bounded ``Do``
+    loops (the trip-bound facts both lean on).
     """
 
     def __init__(self, rng: random.Random):
@@ -589,7 +589,7 @@ class _BoundaryGenerator:
         if pick == 4:  # statically bounded loop over the array
             bound = self.rng.choice([length, length + 1, max(length - 1, 1)])
             return f"Do[a = a + v[[j]], {{j, {bound}}}]"
-        if pick == 5:  # statically bounded scalar loop (coalescing shape)
+        if pick == 5:  # statically bounded scalar loop (trip-bound facts)
             trips = self.rng.randint(1, 8)
             return f"Do[a = a + j, {{j, {trips}}}]"
         # boundary comparison steering an If — unreachable-branch facts

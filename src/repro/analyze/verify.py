@@ -34,9 +34,8 @@ objects rather than bare asserts:
 
 **TWIR semantic-stage invariants** (gated on the pass having run)
     abort checkpoints present at every loop header and in the prologue when
-    abort handling is on (``twir.abort``, per :mod:`repro.compiler.twir.abort`)
-    — headers listed in ``CoalescedHeaders`` are exempt, their checkpoint was
-    deliberately coalesced; memory ops well-paired — every ``MemoryRelease``
+    abort handling is on (``twir.abort``, per :mod:`repro.compiler.twir.abort`);
+    memory ops well-paired — every ``MemoryRelease``
     names a value some ``MemoryAcquire`` acquired and every acquire names an
     allocating definition (``twir.memory``, per :mod:`repro.compiler.twir.memory`).
 
@@ -44,9 +43,8 @@ objects rather than bare asserts:
     every unchecked primitive must carry the ``elided_check`` justification
     the elision pass stamped, and an *independently recomputed* dataflow
     analysis (:mod:`repro.analyze.dataflow`) must re-prove it — the exact
-    abstract result of an unchecked arithmetic op fits Integer64, Part
-    indices are in the justified range, coalesced checkpoint headers still
-    have a bounded/innermost/effect-local trip proof (``analysis.fact``).
+    abstract result of an unchecked arithmetic op fits Integer64 and Part
+    indices are in the justified range (``analysis.fact``).
     A pass that plants a wrong fact (see the ``analysis.bad_fact`` fault
     class in :mod:`repro.testing`) is caught here and attributed by name.
 
@@ -453,10 +451,7 @@ def _check_abort_checkpoints(
         return
     if "GuardCheckpoints" not in information:
         return  # the insertion pass has not run yet for this function
-    coalesced = information.get("CoalescedHeaders", {})
     for name in loop_headers(function):
-        if name in coalesced:
-            continue  # deliberately removed; analysis.fact re-proves it
         block = function.blocks.get(name)
         if block is None:
             continue
@@ -565,8 +560,8 @@ def _check_fact_consistency(
     analysis from scratch and re-derives the proof, so a pass that plants
     a wrong fact (or a later pass that invalidates one) is caught rather
     than miscompiled.  Skipped entirely when the function contains no
-    unchecked primitives and no coalesced checkpoints — the worklist
-    recompute is not free and verify-each runs this after every pass.
+    unchecked primitives — the worklist recompute is not free and
+    verify-each runs this after every pass.
     """
     sites: list[tuple] = []
     for block in function.ordered_blocks():
@@ -576,13 +571,9 @@ def _check_fact_consistency(
             name = instruction.primitive.runtime_name
             if name in _UNCHECKED_ARITH or name in _UNCHECKED_PARTS:
                 sites.append((block, instruction))
-    coalesced = function.information.get("CoalescedHeaders", {})
-    if not sites and not coalesced:
+    if not sites:
         return
-    from repro.analyze.dataflow import (
-        COALESCE_TRIP_LIMIT,
-        analyze_function,
-    )
+    from repro.analyze.dataflow import analyze_function
 
     facts = analyze_function(function)
     for block, instruction in sites:
@@ -624,16 +615,3 @@ def _check_fact_consistency(
                   f"recomputed facts ({justification})", function,
                   block=block.name, instruction=instruction,
                   justification=justification)
-    for header, bound in coalesced.items():
-        loop = facts.loops.get(header)
-        if (
-            loop is None
-            or loop.trip_bound is None
-            or loop.trip_bound > COALESCE_TRIP_LIMIT
-            or not loop.innermost
-            or not loop.effect_local
-        ):
-            _diag(diagnostics, "analysis.fact",
-                  f"coalesced checkpoint at {header} (recorded trip bound "
-                  f"{bound}) is no longer provably bounded, innermost and "
-                  f"effect-local", function, block=header)

@@ -66,6 +66,8 @@ _RUNTIME_FINGERPRINT_MODULES = (
     "repro.compiler.runtime_library",
     "repro.compiler.codegen.python_backend",
     "repro.runtime.abort",
+    "repro.runtime.interrupt",
+    "repro.runtime.guard",
     "repro.runtime.checked",
     "repro.runtime.memory",
     "repro.runtime.packed",

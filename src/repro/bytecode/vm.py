@@ -8,11 +8,13 @@ Register machine execution with the baseline's characteristic costs (§6):
   unboxing and index-predication overhead on every access;
 * machine-integer operations are range-checked; overflow raises the runtime
   error that triggers the soft fallback (F2);
-* abort is polled on backward jumps, so bytecode code is abortable (F3);
-* the active :class:`~repro.runtime.guard.ExecutionGuard` is polled on the
-  same backward-jump cadence (deadlines, step budgets) and charged for
-  tensor allocations (memory budgets), so ``TimeConstrained`` and
-  ``MemoryConstrained`` bound bytecode execution too;
+* every backward jump tests the thread's interrupt cell
+  (:mod:`repro.runtime.interrupt`) and, while it is raised, runs the
+  checkpoint slow path: abort delivery, so bytecode code is abortable (F3),
+  and the active :class:`~repro.runtime.guard.ExecutionGuard`'s deadline
+  and step budget; the guard is also charged for tensor allocations
+  (memory budgets), so ``TimeConstrained`` and ``MemoryConstrained`` bound
+  bytecode execution too;
 * each instruction boundary is a named fault-injection site
   (``vm.instruction``), so tests can prove mid-loop unwinds are clean;
 * when tracing is enabled (:mod:`repro.observe`) each ``run`` emits a
@@ -28,13 +30,10 @@ from typing import Callable, Optional
 
 from repro.bytecode.boxed import BoxedTensor
 from repro.bytecode.instructions import Instruction, Op
-from repro.errors import (
-    IntegerOverflowError,
-    WolframAbort,
-    WolframRuntimeError,
-)
+from repro.errors import IntegerOverflowError, WolframRuntimeError
 from repro.observe import trace as _trace
 from repro.runtime.guard import charge_memory, guard_checkpoint
+from repro.runtime.interrupt import INTERRUPTS as _interrupts, bind, unbind
 from repro.testing import faults as _faults
 
 _INT64_MAX = (1 << 63) - 1
@@ -147,29 +146,34 @@ def _binary_pow(a, b):
 class WVM:
     """Executes one compiled function's instruction stream."""
 
-    def __init__(self, abort_poll: Optional[Callable[[], bool]] = None,
-                 evaluator=None):
-        self.abort_poll = abort_poll
+    def __init__(self, evaluator=None):
         self.evaluator = evaluator
         self.random = _random.Random()
 
     def run(self, instructions: list[Instruction], constants: list,
             arguments: list, register_total: int):
-        tracer = _trace.TRACER
-        if tracer is None:
-            return self._run(instructions, constants, arguments,
-                             register_total, None)
-        start = tracer.now()
-        executed_box = [0]
+        # the host's abort reaches the backward-jump polls through this
+        # thread's interrupt cell
+        bound = bind(self.evaluator) if self.evaluator is not None else None
         try:
-            return self._run(instructions, constants, arguments,
-                             register_total, executed_box)
+            tracer = _trace.TRACER
+            if tracer is None:
+                return self._run(instructions, constants, arguments,
+                                 register_total, None)
+            start = tracer.now()
+            executed_box = [0]
+            try:
+                return self._run(instructions, constants, arguments,
+                                 register_total, executed_box)
+            finally:
+                metrics = tracer.metrics
+                metrics.count("vm.dispatches")
+                metrics.count("vm.instructions", executed_box[0])
+                tracer.complete("vm.run", "bytecode", start,
+                                instructions=executed_box[0])
         finally:
-            metrics = tracer.metrics
-            metrics.count("vm.dispatches")
-            metrics.count("vm.instructions", executed_box[0])
-            tracer.complete("vm.run", "bytecode", start,
-                            instructions=executed_box[0])
+            if bound is not None:
+                unbind(bound)
 
     def _run(self, instructions: list[Instruction], constants: list,
              arguments: list, register_total: int,
@@ -177,8 +181,7 @@ class WVM:
         regs: list = [None] * max(register_total, 1)
         pc = 0
         count = len(instructions)
-        abort_poll = self.abort_poll
-        backward_jumps = 0
+        irq = _interrupts.cell
         while pc < count:
             if _faults._INJECTOR is not None:
                 _faults.fire("vm.instruction")
@@ -259,34 +262,22 @@ class WVM:
                 regs[ins.target] = arguments[operands[0]]
             elif op == Op.JUMP:
                 destination = operands[0]
-                if destination <= pc:
-                    backward_jumps += 1
+                if destination <= pc and irq[0]:
                     guard_checkpoint()
-                    if abort_poll is not None and backward_jumps % 64 == 0:
-                        if abort_poll():
-                            raise WolframAbort()
                 pc = destination
                 continue
             elif op == Op.JUMP_IF:
                 if regs[operands[1]]:
                     destination = operands[0]
-                    if destination <= pc:
-                        backward_jumps += 1
+                    if destination <= pc and irq[0]:
                         guard_checkpoint()
-                        if abort_poll is not None and backward_jumps % 64 == 0 \
-                                and abort_poll():
-                            raise WolframAbort()
                     pc = destination
                     continue
             elif op == Op.JUMP_IF_NOT:
                 if not regs[operands[1]]:
                     destination = operands[0]
-                    if destination <= pc:
-                        backward_jumps += 1
+                    if destination <= pc and irq[0]:
                         guard_checkpoint()
-                        if abort_poll is not None and backward_jumps % 64 == 0 \
-                                and abort_poll():
-                            raise WolframAbort()
                     pc = destination
                     continue
             elif op == Op.RETURN:

@@ -59,7 +59,6 @@ from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.parser import parse
 from repro.mexpr.printer import input_form
 from repro.mexpr.symbols import S, to_mexpr
-from repro.runtime.abort import attach_abort_source
 from repro.runtime.guard import (
     FAILURE_LOG,
     CircuitBreaker,
@@ -67,6 +66,7 @@ from repro.runtime.guard import (
     FallbackStats,
     Tier,
 )
+from repro.runtime.interrupt import bind, unbind
 from repro.runtime.packed import PackedArray
 
 FunctionLike = Union[MExpr, str]
@@ -337,24 +337,20 @@ class CompiledCodeFunction:
             )
             self._stats.record_failure(self._breaker.tier, error.kind)
             return self._soft_failure(arguments, error)
-        attached = False
-        if self.evaluator is not None:
-            attach_abort_source(self.evaluator.abort_pending)
-            attached = True
-        try:
+        if self.evaluator is None:
             # standalone artifacts have no slower tier to demote to
-            tier = (
-                self._breaker.tier if self.evaluator is not None
-                else Tier.COMPILED
-            )
+            return self._run_compiled(arguments, unpacked)
+        # the host's abort reaches this call through this thread's cell
+        bound = bind(self.evaluator)
+        try:
+            tier = self._breaker.tier
             if tier is Tier.COMPILED:
                 return self._run_compiled(arguments, unpacked)
             if tier is Tier.BYTECODE:
                 return self._run_bytecode(arguments)
             return self._interpreter_eval(arguments)
         finally:
-            if attached:
-                attach_abort_source(None)
+            unbind(bound)
 
     def _run_compiled(self, arguments, unpacked):
         try:
@@ -383,12 +379,7 @@ class CompiledCodeFunction:
             from repro.bytecode.vm import WVM
 
             boxed = artifact._check_and_box(arguments)
-            machine = WVM(
-                abort_poll=(
-                    self.evaluator.abort_pending if self.evaluator else None
-                ),
-                evaluator=self.evaluator,
-            )
+            machine = WVM(evaluator=self.evaluator)
             result = machine.run(
                 artifact.instructions, artifact.constants, boxed,
                 artifact.register_total,

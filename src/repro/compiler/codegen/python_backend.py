@@ -90,6 +90,7 @@ def runtime_globals(kernel_call, constants, kernel_expressions) -> dict:
     from repro.compiler.runtime_library import RUNTIME
     from repro.errors import IntegerOverflowError, WolframRuntimeError
     from repro.runtime.abort import runtime_check_abort
+    from repro.runtime.interrupt import INTERRUPTS
     from repro.runtime.memory import memory_acquire, memory_release
     from repro.runtime.packed import PackedArray
 
@@ -106,6 +107,7 @@ def runtime_globals(kernel_call, constants, kernel_expressions) -> dict:
         "PackedArray": PackedArray,
         "IntegerOverflowError": IntegerOverflowError,
         "WolframRuntimeError": WolframRuntimeError,
+        "_interrupts": INTERRUPTS,
         "_check_abort": runtime_check_abort,
         "_mem_acquire": memory_acquire,
         "_mem_release": memory_release,
@@ -190,6 +192,10 @@ class PythonBackend:
                 "from repro.runtime.guard import guard_checkpoint "
                 "as _guard_checkpoint"
             )
+            self._line(
+                "from repro.runtime.interrupt import INTERRUPTS "
+                "as _interrupts"
+            )
             self._line("def _check_abort():")
             self._line(
                 "    # abortability is engine-hosted only (§4.6); deadline "
@@ -247,6 +253,10 @@ class PythonBackend:
         )
         self._line(f"def {sanitize(function.name)}({parameters}):")
         self._indent += 1
+        if any(isinstance(instruction, CheckAbortInstr)
+               for instruction in function.instructions()):
+            # this thread's interrupt cell, tested inline at each checkpoint
+            self._line("_irq = _interrupts.cell")
         try:
             plan = Structurizer(function).build()
         except StructurizeError:
@@ -470,7 +480,7 @@ class PythonBackend:
             )
             return
         if isinstance(instruction, CheckAbortInstr):
-            self._line("_check_abort()")
+            self._line("if _irq[0]: _check_abort()")
             return
         if isinstance(instruction, MemoryAcquireInstr):
             self._line(f"_mem_acquire({self._ref(instruction.operands[0])})")

@@ -29,10 +29,7 @@ from repro.compiler.macros import (
 )
 from repro.compiler.options import CompilerOptions
 from repro.compiler.twir.abort import insert_abort_checks, strip_abort_checks
-from repro.compiler.twir.check_elision import (
-    coalesce_checkpoints,
-    elide_redundant_checks,
-)
+from repro.compiler.twir.check_elision import elide_redundant_checks
 from repro.compiler.twir.copy_insert import insert_copies
 from repro.compiler.twir.memory import insert_memory_management
 from repro.compiler.twir.passes import (
@@ -493,17 +490,6 @@ class CompilerPipeline:
                     lambda f=function_module: insert_abort_checks(f),
                     subject=function_module,
                 )
-                if elide:
-                    coalesced = self._timed(
-                        "checkpoint-coalescing",
-                        lambda f=function_module: coalesce_checkpoints(f),
-                        subject=function_module,
-                    )
-                    if coalesced:
-                        total = self.pass_totals["checkpoint-coalescing"]
-                        total["elided"] = total.get("elided", 0) + coalesced
-                        observe.count("analysis.checks_elided.checkpoints",
-                                      coalesced)
             else:
                 strip_abort_checks(function_module)
             if self.options.memory_management:

@@ -6,8 +6,10 @@ compiler performs analysis to compute the loops and then inserts an abort
 check at the head of each loop.  Since functions can be recursive ... the
 compiler also inserts an abort check in each function's prologue."
 
-The check polls the host engine's abort flag and raises through the runtime
-(``runtime_check_abort``); generated cleanup is Python/C unwinding.
+Each check is one inline test of the thread's interrupt cell
+(:mod:`repro.runtime.interrupt`); while the cell is raised the runtime's
+slow path (``runtime_check_abort``) delivers the host engine's abort;
+generated cleanup is Python/C unwinding.
 
 The inserted checks are *guard checkpoints*: besides the abort flag they
 poll the active :class:`~repro.runtime.guard.ExecutionGuard`, which is how

@@ -1,6 +1,6 @@
 """Dataflow-driven check elision (§6, "removal of redundant ... checks").
 
-Consumes :class:`~repro.analyze.dataflow.FunctionFacts` to delete three
+Consumes :class:`~repro.analyze.dataflow.FunctionFacts` to delete two
 kinds of per-instruction safety tax, each swap stamped with a justifying
 ``elided_check`` property that the verifier's fact-consistency rules
 (:mod:`repro.analyze.verify`) re-derive independently:
@@ -21,13 +21,9 @@ kinds of per-instruction safety tax, each swap stamped with a justifying
   too-large index is a *trapped* runtime error handled by the
   soft-failure path (F2), never a silent wrong answer.
 
-* **Abort checkpoints** — :func:`coalesce_checkpoints` removes the
-  loop-header poll from innermost loops with a statically bounded trip
-  count and local effects: the bounded body cannot run long enough for
-  checkpoint granularity to matter, and the prologue/outer checkpoints
-  still poll.  Runs *after* abort insertion; coalesced headers are
-  recorded in ``information["CoalescedHeaders"]`` so the verifier can
-  both exempt them from the ``twir.abort`` rule and re-prove the bound.
+Abort checkpoints are not elided: each is one inline test of the
+thread's interrupt cell (:mod:`repro.runtime.interrupt`), cheap enough
+that every loop header keeps its poll.
 """
 
 from __future__ import annotations
@@ -35,10 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.compiler.wir.function_module import FunctionModule
-from repro.compiler.wir.instructions import (
-    CallPrimitiveInstr,
-    CheckAbortInstr,
-)
+from repro.compiler.wir.instructions import CallPrimitiveInstr
 
 if TYPE_CHECKING:  # pragma: no cover - the analyze import is deferred at
     # runtime (repro.analyze pulls in the differential oracle, which pulls
@@ -121,54 +114,3 @@ def elide_redundant_checks(
     if counts["bounds"]:
         function.information["IndexChecksElided"] = counts["bounds"]
     return counts
-
-
-def coalesce_checkpoints(
-    function: FunctionModule,
-    facts: Optional["FunctionFacts"] = None,
-    limit: Optional[int] = None,
-) -> int:
-    """Remove the abort checkpoint from bounded innermost local loops.
-
-    Must run after :func:`repro.compiler.twir.abort.insert_abort_checks`
-    (which would otherwise re-insert).  Returns the number coalesced.
-    """
-    from repro.analyze.dataflow import COALESCE_TRIP_LIMIT, analyze_function
-
-    if limit is None:
-        limit = COALESCE_TRIP_LIMIT
-    if not function.information.get("AbortHandling", False):
-        return 0
-    # the IR may have changed since the facts were computed (copy
-    # insertion, abort checkpoints); trip bounds must be re-derived on
-    # the current CFG
-    facts = analyze_function(function)
-    coalesced: dict[str, int] = {}
-    for header_name, loop in facts.loops.items():
-        if loop.trip_bound is None or loop.trip_bound > limit:
-            continue
-        if not loop.innermost or not loop.effect_local:
-            continue
-        block = function.blocks.get(header_name)
-        if block is None:
-            continue
-        removed = [
-            i for i in block.instructions if isinstance(i, CheckAbortInstr)
-        ]
-        if not removed:
-            continue
-        block.instructions = [
-            i for i in block.instructions
-            if not isinstance(i, CheckAbortInstr)
-        ]
-        coalesced[header_name] = loop.trip_bound
-    if coalesced:
-        existing = dict(function.information.get("CoalescedHeaders", {}))
-        existing.update(coalesced)
-        function.information["CoalescedHeaders"] = existing
-        function.information["CheckpointsCoalesced"] = len(existing)
-        function.information["GuardCheckpoints"] = max(
-            0,
-            function.information.get("GuardCheckpoints", 0) - len(coalesced),
-        )
-    return len(coalesced)

@@ -9,11 +9,14 @@ Implements the evaluation semantics §2.1 describes:
   builtin dispatch;
 * **OwnValues / DownValues** — user definitions applied by pattern matching
   in specificity order;
-* **abortability (F3)** — an abort flag is polled on every evaluation step;
-  an abort unwinds to the top level and returns ``$Aborted`` with session
+* **abortability (F3)** — every evaluation step tests the thread's
+  interrupt cell (:mod:`repro.runtime.interrupt`); a top-level evaluation
+  binds the evaluator to its thread, so :meth:`Evaluator.request_abort`
+  raises that cell and the next step's slow path delivers the abort.  An
+  abort unwinds to the top level and returns ``$Aborted`` with session
   state intact (possibly mutated by the aborted computation, as the paper
   specifies);
-* **guarded execution** — the same per-step checkpoint polls the active
+* **guarded execution** — the same per-step slow path charges the active
   :class:`~repro.runtime.guard.ExecutionGuard`, enforcing
   ``TimeConstrained`` deadlines, step budgets, and (via a small per-node
   allocation charge) ``MemoryConstrained`` budgets.
@@ -25,7 +28,6 @@ version and invalidates the stamps.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional
 
 from repro.errors import (
@@ -48,7 +50,8 @@ from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.parser import parse
 from repro.mexpr.symbols import S, head_name, is_head
 from repro.observe import trace as _trace
-from repro.runtime.guard import _tls as _guard_tls
+from repro.runtime import interrupt as _interrupt
+from repro.runtime.interrupt import INTERRUPTS as _interrupts, poll as _poll
 
 _EVALUATED_STAMP = "$evalv"
 
@@ -73,8 +76,9 @@ class Evaluator:
         self.recursion_limit = recursion_limit
         self.iteration_limit = iteration_limit
         self._depth = 0
-        self._abort_flag = threading.Event()
-        self._steps_since_abort_check = 0
+        #: set by :meth:`request_abort` from any thread, read by the
+        #: checkpoint slow path of the thread this evaluator runs on
+        self.abort_requested = False
         self._messages: list[str] = []
         #: hook the compiler installs so ``FunctionCompile`` etc. work inline
         self.extensions: dict[str, Callable] = {}
@@ -111,20 +115,20 @@ class Evaluator:
         try:
             return self.evaluate(expression)
         except WolframAbort:
-            self._abort_flag.clear()
+            self.abort_requested = False
             return MSymbol("$Aborted")
         except (ReturnSignal, ThrowSignal) as signal:
             return signal.value
 
     def request_abort(self) -> None:
         """Trigger the user abort interrupt (feature F3); thread-safe."""
-        self._abort_flag.set()
+        _interrupt.request_abort(self)
 
     def abort_pending(self) -> bool:
-        return self._abort_flag.is_set()
+        return self.abort_requested
 
     def clear_abort(self) -> None:
-        self._abort_flag.clear()
+        self.abort_requested = False
 
     def message(self, text: str) -> None:
         self._messages.append(text)
@@ -142,11 +146,14 @@ class Evaluator:
         # This sits after _check_abort so step budgets charge as before.
         if expression.is_atom() and not isinstance(expression, MSymbol):
             return expression
-        if self._depth >= self.recursion_limit:
+        depth = self._depth
+        if depth >= self.recursion_limit:
             raise WolframRecursionError(
                 f"$RecursionLimit of {self.recursion_limit} exceeded"
             )
-        self._depth += 1
+        # a top-level evaluation is this thread's abort source until it ends
+        bound = _interrupt.bind(self) if depth == 0 else None
+        self._depth = depth + 1
         tracer = _trace.TRACER  # one attribute load; None on the fast path
         try:
             current = expression
@@ -170,17 +177,21 @@ class Evaluator:
             )
         finally:
             self._depth -= 1
+            if bound is not None:
+                _interrupt.unbind(bound)
 
     def _check_abort(self) -> None:
-        self._steps_since_abort_check += 1
-        if self._steps_since_abort_check >= 64:
-            self._steps_since_abort_check = 0
-            if self._abort_flag.is_set():
-                raise WolframAbort()
-        # deadline / step-budget poll, inlined for the unguarded fast path
-        guard = getattr(_guard_tls, "top", None)
-        if guard is not None:
-            guard.check(1)
+        # abort delivery and the guard's step/deadline charge, on the slow
+        # path only while this thread's interrupt cell is raised
+        state = _interrupts.state
+        if state.cell[0]:
+            guard = state.guard
+            if guard is None or state.aborting:
+                _poll(state)
+            else:
+                # the guarded step with nothing else pending, inlined: a
+                # server request takes it on every evaluation step
+                guard.check(1)
 
     def _is_stamped(self, expression: MExpr) -> bool:
         return (
@@ -208,7 +219,7 @@ class Evaluator:
         arguments = self._splice_sequences(head, attributes, arguments)
 
         rebuilt = MExprNormal(head, arguments)
-        guard = getattr(_guard_tls, "top", None)
+        guard = _interrupts.state.guard
         if guard is not None:
             guard.charge_memory(_NODE_BYTES + _SLOT_BYTES * len(arguments))
 

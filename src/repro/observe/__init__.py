@@ -20,8 +20,7 @@ event / metric                  emitted by
 ``pipeline.pass.<name>``        per-pass wall time (histogram, seconds)
 ``analysis.checks_elided.int64``  overflow guards deleted by dataflow facts
                                 (counter); ``.bounds`` for Part bounds
-                                checks, ``.checkpoints`` for coalesced
-                                loop abort checkpoints alongside
+                                checks alongside
 ``hotspot.promote`` (span)      one promotion attempt
 ``tier.promote``                successful promotion (instant, ``symbol=``)
 ``tier.demote``                 breaker demotion / promotion withdrawal

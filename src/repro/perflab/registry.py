@@ -311,8 +311,7 @@ def _elision_speedup_run(config: RunConfig) -> SpecResult:
     """Dataflow check elision A/B (DESIGN.md §12): the same Figure-2 loop
     kernels compiled with ``ElideChecks`` on (default) vs off, on ≥2
     kernels.  The elided build drops overflow guards on proven counter
-    arithmetic, bounds predicates on proven Part accesses, and abort
-    checkpoints in bounded loops."""
+    arithmetic and bounds predicates on proven Part accesses."""
     from repro.benchsuite import data as workloads
     from repro.benchsuite import programs
     from repro.compiler import FunctionCompile
@@ -340,7 +339,6 @@ def _elision_speedup_run(config: RunConfig) -> SpecResult:
         elided_count = (
             info.get("OverflowChecksElided", 0)
             + info.get("IndexChecksElided", 0)
-            + info.get("CheckpointsCoalesced", 0)
         )
         same = elided(argument).data == checked(argument).data
         s_elided, _ = stats.measure(elided, argument,
@@ -443,6 +441,84 @@ def _abort_run(config: RunConfig) -> SpecResult:
         meta={"abort_tax": s_on.best / s_off.best,
               "paper": "abort checking inhibits the tight histogram loop"},
         verified=verified,
+    )
+
+
+#: the abort-latency gate: an abort of a running compiled loop must raise
+#: ``WolframAbort`` within this many seconds of the request, every time
+ABORT_LATENCY_BOUND = 0.05
+
+
+def _abort_latency_run(config: RunConfig) -> SpecResult:
+    """Abort responsiveness (F3): seconds from ``request_abort`` to
+    ``WolframAbort`` raised out of a compiled Figure-2 loop spinning on a
+    worker thread.  The bound keeps a cheaper checkpoint from meaning a
+    less responsive one."""
+    import threading
+    import time
+
+    from repro.benchsuite import data as workloads
+    from repro.benchsuite import programs
+    from repro.compiler import FunctionCompile
+    from repro.engine import Evaluator
+    from repro.errors import WolframAbort
+
+    # inputs long enough that a call loops for tens of milliseconds
+    arms = {
+        "fnv1a": (programs.NEW_FNV1A, workloads.fnv_string(400_000)),
+        "histogram": (programs.NEW_HISTOGRAM,
+                      workloads.histogram_data(400_000)),
+    }
+    rounds = max(5, config.repeats)
+    measurements: dict = {}
+    worst: dict = {}
+    completed = 0
+    for name, (source, argument) in arms.items():
+        evaluator = Evaluator()
+        kernel = FunctionCompile(source, evaluator=evaluator)
+        # argument unpacking is not abortable: request each abort between
+        # 55% and 80% of an unaborted call, when the loop is running
+        full = stats.best_of(kernel, argument, repeats=1)
+        latencies = []
+        for index in range(rounds):
+            outcome: dict = {}
+            started = threading.Event()
+
+            def call():
+                started.set()
+                try:
+                    kernel(argument)
+                except WolframAbort:
+                    outcome["raised"] = time.perf_counter()
+
+            worker = threading.Thread(target=call, daemon=True)
+            worker.start()
+            started.wait()
+            time.sleep(full * (0.55 + 0.25 * index / rounds))
+            requested = time.perf_counter()
+            evaluator.request_abort()
+            worker.join()
+            evaluator.clear_abort()
+            if "raised" in outcome:
+                latencies.append(outcome["raised"] - requested)
+            else:  # the call finished first: no abort to time
+                completed += 1
+        sample = stats.Sample(tuple(latencies))
+        measurement = sample.as_measurement()
+        # scheduler-bound and jittery: the bound below is the gate
+        measurement["gate"] = False
+        measurements[f"{name}_abort_latency_seconds"] = measurement
+        worst[name] = max(latencies) if latencies else None
+    return SpecResult(
+        measurements,
+        meta={
+            "worst_seconds": worst,
+            "calls_finished_unaborted": completed,
+            "gate": f"every abort raised within {ABORT_LATENCY_BOUND} s",
+        },
+        verified=completed == 0 and all(
+            value is not None and value < ABORT_LATENCY_BOUND
+            for value in worst.values()),
     )
 
 
@@ -898,6 +974,10 @@ def _specs() -> tuple:
         BenchSpec("ablation.abort", "ablations", "compiler",
                   "abort-check ablation (Histogram, §6)",
                   _abort_run),
+        BenchSpec("ablation.abort_latency", "ablations", "compiler",
+                  "abort request -> WolframAbort in compiled FNV1a and "
+                  f"Histogram loops (gate: <= {ABORT_LATENCY_BOUND} s)",
+                  _abort_latency_run),
         BenchSpec("ablation.constants", "ablations", "compiler",
                   "constant-array handling ablation (PrimeQ, §6)",
                   _constants_run),

@@ -2,15 +2,11 @@
 
 Generated code (Python backend) and the bytecode VM both link against this
 package: checked machine arithmetic (F2), packed tensors, reference-counted
-memory management (F7), UTF-8 string primitives, the abort channel (F3), and
-the shared BLAS bridge.
+memory management (F7), UTF-8 string primitives, the abort channel (F3)
+with its per-thread interrupt cell, and the shared BLAS bridge.
 """
 
-from repro.runtime.abort import (
-    abort_checks_enabled,
-    attach_abort_source,
-    runtime_check_abort,
-)
+from repro.runtime.abort import abort_checks_enabled, runtime_check_abort
 from repro.runtime.blas import dgemm, dot_nested
 from repro.runtime.guard import (
     ExecutionGuard,
@@ -61,7 +57,7 @@ __all__ = [
     "CircuitBreaker", "ExecutionGuard", "FAILURE_LOG", "FailureLog",
     "FailureRecord", "FallbackStats", "INT64_MAX", "INT64_MIN",
     "PackedArray", "Tier", "abort_checks_enabled", "active_guard",
-    "attach_abort_source", "charge_memory", "check_int64",
+    "charge_memory", "check_int64",
     "guard_checkpoint", "guard_scope",
     "checked_binary_mod_Integer64_Integer64",
     "checked_binary_plus_Integer64_Integer64",

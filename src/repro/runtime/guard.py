@@ -25,10 +25,12 @@ polls at its existing abort checkpoints:
   1024) queryable from ``repro.compiler.api``.
 
 Guards are thread-local: the REPL evaluates on a worker thread and each
-engine session polls only the guards its own thread entered.  With no
-active guard every checkpoint is a single attribute load and ``None`` test,
-so unguarded execution — including standalone exported code (§4.6) — pays
-essentially nothing.
+engine session polls only the guards its own thread entered.  The guard
+stack lives in the thread's :mod:`~repro.runtime.interrupt` state, and
+pushing a guard raises the thread's interrupt cell, so every checkpoint
+runs the slow path (:func:`guard_checkpoint`) exactly while a guard is
+active.  Unguarded execution — including standalone exported code (§4.6)
+— pays one inline list test per checkpoint.
 
 Event vocabulary (emitted through :mod:`repro.observe` when tracing is
 enabled; emission sits on the raise/transition paths only, so the per-step
@@ -59,9 +61,8 @@ from typing import Iterator, Optional
 
 from repro import observe as _observe
 from repro.errors import WolframBudgetError, WolframTimeoutError
+from repro.runtime.interrupt import INTERRUPTS as _interrupts, poll, settle
 from repro.testing import faults as _faults
-
-_tls = threading.local()
 
 # -- the guard itself ------------------------------------------------------------------
 
@@ -182,23 +183,29 @@ class ExecutionGuard:
 
 def active_guard() -> Optional[ExecutionGuard]:
     """The innermost guard on this thread, or ``None``."""
-    return getattr(_tls, "top", None)
+    return _interrupts.state.guard
 
 
 def push_guard(guard: ExecutionGuard) -> ExecutionGuard:
-    guard.parent = getattr(_tls, "top", None)
-    _tls.top = guard
+    state = _interrupts.state
+    guard.parent = state.guard
+    state.guard = guard
+    # every checkpoint takes the slow path while a guard is active
+    state.cell[0] = 1
     return guard
 
 
 def pop_guard(guard: ExecutionGuard) -> None:
-    if getattr(_tls, "top", None) is guard:
-        _tls.top = guard.parent
+    state = _interrupts.state
+    if state.guard is guard:
+        state.guard = guard.parent
     else:  # unwound out of order; restore the nearest consistent state
-        current = getattr(_tls, "top", None)
+        current = state.guard
         while current is not None and current is not guard:
             current = current.parent
-        _tls.top = current.parent if current is not None else None
+        state.guard = current.parent if current is not None else None
+    if state.guard is None:
+        settle(state)
 
 
 @contextmanager
@@ -228,24 +235,24 @@ def guard_scope(
 
 
 def guard_checkpoint(steps: int = 1) -> None:
-    """Poll the active guard; a noop when no guard is installed.
+    """The checkpoint slow path of the template tier, the bytecode VM and
+    standalone exported code; runs only while the thread's interrupt cell
+    is raised (see :mod:`repro.runtime.interrupt`).
 
-    This is the call every tier's abort checkpoints make: the evaluator on
-    each evaluation step, the VM on instruction batches, compiled code at
-    loop headers and prologues (via ``runtime_check_abort``), and standalone
-    exported code directly — which is how ``TimeConstrained`` still enforces
-    its deadline by wall clock with no engine attached (§4.6).
+    It fires the ``guard.checkpoint`` fault site, delivers an abort of an
+    evaluator bound to this thread, and charges the active guard — which
+    is how ``TimeConstrained`` still enforces its deadline by wall clock
+    with no engine attached (§4.6).  Called directly it is a full poll; a
+    noop when nothing is pending.
     """
     if _faults._INJECTOR is not None:
         _faults.fire("guard.checkpoint")
-    guard = getattr(_tls, "top", None)
-    if guard is not None:
-        guard.check(steps)
+    poll(_interrupts.state, steps)
 
 
 def charge_memory(nbytes: int) -> None:
     """Charge an allocation against the active guard; noop when unguarded."""
-    guard = getattr(_tls, "top", None)
+    guard = _interrupts.state.guard
     if guard is not None:
         guard.charge_memory(nbytes)
 

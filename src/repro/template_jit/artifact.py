@@ -8,8 +8,9 @@ Mirrors the runtime contract of the other two compiled artifacts
   inputs — stitched code mutates plain Python lists in place);
 * soft failure (F2): a runtime error records against the breaker and
   re-evaluates through the hosting interpreter;
-* abortability (F3) and guard budgets via the stitched ``_checkpoint``
-  calls;
+* abortability (F3) and guard budgets via the stitched interrupt-cell
+  tests: a call binds its hosting evaluator to the calling thread, so the
+  host's abort raises that thread's cell;
 * tier governance: the breaker starts at :data:`Tier.TEMPLATE` and walks
   the ladder template → bytecode → interpreter.  On first demotion the
   artifact lazily compiles a bytecode fallback from the same source body —
@@ -35,6 +36,7 @@ from repro.errors import (
 from repro.mexpr.expr import MExpr
 from repro.mexpr.symbols import to_mexpr
 from repro.runtime.guard import CircuitBreaker, FallbackStats, Tier
+from repro.runtime.interrupt import bind, unbind
 from repro.testing import faults as _faults
 
 #: Python-level errors stitched code can raise when the one-pass kind
@@ -97,7 +99,13 @@ class TemplateCompiledFunction:
             # count against the breaker and walk the demotion ladder
             if _faults._INJECTOR is not None:
                 _faults.fire("template.call")
-            return self.function(*checked)
+            if self.evaluator is None:
+                return self.function(*checked)
+            bound = bind(self.evaluator)
+            try:
+                return self.function(*checked)
+            finally:
+                unbind(bound)
         except WolframAbort:
             raise
         except GUARD_EXCEPTIONS as error:

@@ -27,13 +27,16 @@ Semantics mirror :mod:`repro.bytecode.vm` exactly:
   which is where the tier's steady-state win over the boxed VM comes from.
 
 ``RUNTIME_GLOBALS`` is the namespace every stitched function executes in;
-it contains only these helpers (plus the per-artifact ``_checkpoint`` and
-``_self`` slots installed by the compiler).
+it contains only these helpers, the per-thread interrupt cells and the
+checkpoint slow path (plus the per-artifact ``_self`` slot installed by
+the compiler).
 """
 
 from __future__ import annotations
 
 from repro.errors import IntegerOverflowError, WolframRuntimeError
+from repro.runtime.guard import guard_checkpoint
+from repro.runtime.interrupt import INTERRUPTS
 
 _INT64_MAX = (1 << 63) - 1
 _INT64_MIN = -(1 << 63)
@@ -141,9 +144,11 @@ def _build_math_runtime() -> dict:
 MATH_RUNTIME = _build_math_runtime()
 
 #: the namespace stitched code executes in — copied per artifact so the
-#: per-function ``_checkpoint`` / ``_self`` slots never alias
+#: per-function ``_self`` slots never alias
 RUNTIME_GLOBALS: dict = {
     "__builtins__": {},  # stitched code calls only what the table emits
+    "_interrupts": INTERRUPTS,
+    "_checkpoint": guard_checkpoint,
     "_ci": _ci,
     "_div": _div,
     "_pow": _pow,

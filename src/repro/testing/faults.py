@@ -9,11 +9,14 @@ and aborts are timing- and input-dependent.  This harness lets a test
 site                   fired from
 =====================  ==============================================
 ``vm.instruction``     the WVM dispatch loop, before each instruction
-``abort.check``        ``runtime_check_abort`` — i.e. every codegen'd
-                       abort check in compiled code (loop headers and
-                       prologues, §4.5) and the VM's backward-jump polls
-``guard.checkpoint``   every guard checkpoint, including standalone
-                       exported code's ``_check_abort`` (§4.6)
+``abort.check``        ``runtime_check_abort``, compiled code's
+                       checkpoint slow path — every codegen'd abort check
+                       (loop headers and prologues, §4.5)
+``guard.checkpoint``   ``guard_checkpoint``, the checkpoint slow path of
+                       every tier that polls: after ``abort.check`` in
+                       compiled code, and alone in the template tier, the
+                       VM's backward jumps and standalone exported code's
+                       ``_check_abort`` (§4.6)
 ``template.call``      entry of a :class:`~repro.template_jit.artifact.
                        TemplateCompiledFunction` — drives the baseline
                        tier's demotion ladder (template → bytecode →
@@ -32,6 +35,12 @@ Faults fire on hit counts, not wall clock, so a scheduled fault is exactly
 reproducible: ``Fault("vm.instruction", "abort", after=40)`` aborts on the
 41st instruction boundary, every run.
 
+The two checkpoint sites sit on the slow path, which a checkpoint takes
+only while its thread's interrupt cell is raised
+(:mod:`repro.runtime.interrupt`).  Arming an injector raises every
+thread's cell and keeps it raised, so while armed every checkpoint visits
+its sites and hit counts are those of a poll at every checkpoint.
+
 Usage::
 
     with inject_faults(Fault("abort.check", "abort", after=2)):
@@ -39,7 +48,8 @@ Usage::
     assert full_form(result) == "$Aborted"
 
 The hot-path cost when disarmed is one module-attribute load and ``None``
-test per site visit; arming is process-global but test-scoped.
+test per site visit (none at all for the checkpoint sites); arming is
+process-global but test-scoped.
 """
 
 from __future__ import annotations
@@ -177,9 +187,12 @@ def inject_faults(*faults: Fault) -> Iterator[FaultInjector]:
     global _INJECTOR
     if _INJECTOR is not None:
         raise RuntimeError("fault injection is already armed")
+    from repro.runtime.interrupt import raise_all
+
     injector = FaultInjector(list(faults))
     injector.arm_runtime_sites()
     _INJECTOR = injector
+    raise_all()  # checkpoint sites fire on the slow path
     try:
         yield injector
     finally:

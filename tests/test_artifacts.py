@@ -81,6 +81,28 @@ class TestKeys:
         assert runtime_fingerprint() == runtime_fingerprint()
         assert len(runtime_fingerprint()) == 64
 
+    def test_interrupt_cell_source_busts_fingerprint(
+        self, monkeypatch, tmp_path
+    ):
+        """Generated code reads the interrupt cell and calls the guard's
+        slow path: an edit to either module is a different runtime."""
+        import repro.runtime.guard as guard
+        import repro.runtime.interrupt as interrupt
+        from repro.artifacts import keys
+
+        before = runtime_fingerprint()
+        for module in (interrupt, guard):
+            assert module.__name__ in keys._RUNTIME_FINGERPRINT_MODULES
+            with open(module.__file__, encoding="utf-8") as handle:
+                text = handle.read()
+            edited = tmp_path / f"{module.__name__}.py"
+            edited.write_text(text + "\n# edited\n", encoding="utf-8")
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "__file__", str(edited))
+                patch.setattr(keys, "_fingerprint_cache", None)
+                assert runtime_fingerprint() != before
+        assert runtime_fingerprint() == before
+
 
 # -- the store ---------------------------------------------------------------
 
@@ -190,6 +212,23 @@ class TestFunctionCompileCache:
         assert warm(10) == 55
         assert artifact_cache.stats["corrupt"] == 1
         assert artifact_cache.stats["stores"] == 2
+
+    def test_entry_from_another_runtime_is_never_reused(
+        self, artifact_cache, monkeypatch
+    ):
+        """An entry stored by a different runtime (say, codegen from before
+        the interrupt cell) is a miss: the key folds in the runtime."""
+        from repro.artifacts import keys
+
+        monkeypatch.setattr(keys, "_fingerprint_cache", "0" * 64)
+        FunctionCompile(FIB)
+        assert artifact_cache.stats["stores"] == 1
+        monkeypatch.setattr(keys, "_fingerprint_cache", None)
+        fresh = FunctionCompile(FIB)
+        assert artifact_cache.stats["hits"] == 0
+        assert artifact_cache.stats["stores"] == 2
+        assert "if _irq[0]: _check_abort()" in fresh.generated_source
+        assert fresh(30) == 832040
 
     def test_restored_function_demotes_to_bytecode(self, artifact_cache):
         """A cache-restored function can still materialize its program
@@ -356,6 +395,26 @@ class TestAOT:
         image = BaseImage.from_image(manifest)
         evaluator = image.create_evaluator()  # boots cold, does not raise
         assert evaluator.run("fib[10]").to_python() == 55
+
+    def test_image_from_another_runtime_boots_cold(
+        self, artifact_cache, monkeypatch
+    ):
+        """An image built by a different runtime preloads nothing: every
+        definition compiles afresh with this runtime's codegen."""
+        from repro.artifacts import aot, keys
+        from repro.server.base import BaseImage
+
+        monkeypatch.setattr(keys, "_fingerprint_cache", "0" * 64)
+        manifest = aot.build_image(_PRELUDE)
+        monkeypatch.setattr(keys, "_fingerprint_cache", None)
+        image = BaseImage.from_image(manifest)
+        with with_tracing() as tracer:
+            evaluator = image.create_evaluator()
+        assert _pass_spans(tracer) != []  # compiled, not restored
+        promoted = evaluator.hotspot.promoted["fib"]
+        assert promoted.tier_kind == "compiled"
+        assert "_irq[0]" in promoted.artifact.generated_source
+        assert evaluator.run("fib[20]").to_python() == 6765
 
     def test_cli_build_and_boot(self, artifact_cache, tmp_path, capsys):
         from repro.artifacts.aot import main as aot_main

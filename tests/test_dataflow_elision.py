@@ -2,9 +2,9 @@
 
 Covers the tentpole end to end: the interval domain's transfer
 functions, the worklist engine's facts on real compiled kernels
-(trip bounds, shapes, refinements), the three fact-driven deletions
-(int64 overflow guards, Part bounds predicates, abort-checkpoint
-coalescing), the pipeline gating knobs, the verifier's
+(trip bounds, shapes, refinements), the two fact-driven deletions
+(int64 overflow guards, Part bounds predicates), the pipeline gating
+knobs, the verifier's
 ``analysis.fact`` consistency rules with the ``analysis.bad_fact``
 corruption, the template-JIT unchecked-op mask, and the ``--stats``
 "checks elided" one-liner.
@@ -15,7 +15,6 @@ import io
 import pytest
 
 from repro.analyze.dataflow import (
-    COALESCE_TRIP_LIMIT,
     INT64_MAX,
     INT64_MIN,
     FactMap,
@@ -35,7 +34,7 @@ def _no_cache(monkeypatch):
 
 
 #: Figure-2-style loop kernels: a bounded accumulation (counter-increment
-#: overflow guard + abort checkpoint elide) and a bounded array sweep
+#: overflow guard elides) and a bounded array sweep
 #: (Part bounds predicate elides too)
 OVERFLOW_KERNEL = (
     'Function[{Typed[x, "MachineInteger"]},'
@@ -154,19 +153,10 @@ class TestCheckElision:
         info = main_function(program).information
         assert info["IndexChecksElided"] >= 1
 
-    def test_checkpoint_coalesced_in_bounded_loop(self):
-        _, program = compile_kernel(OVERFLOW_KERNEL)
-        info = main_function(program).information
-        assert info["CheckpointsCoalesced"] == 1
-        (bound,) = info["CoalescedHeaders"].values()
-        assert bound == 100
-        assert bound <= COALESCE_TRIP_LIMIT
-
     def test_elide_off_keeps_every_check(self):
         _, program = compile_kernel(OVERFLOW_KERNEL, elide_checks=False)
         info = main_function(program).information
         assert "OverflowChecksElided" not in info
-        assert "CoalescedHeaders" not in info
 
     def test_elided_sites_carry_justification(self):
         from repro.compiler.wir.instructions import CallPrimitiveInstr
@@ -200,7 +190,6 @@ class TestCheckElision:
         report = pipeline.pass_report()
         assert report["dataflow"]["facts"] > 0
         assert report["check-elision"]["elided"] >= 2
-        assert report["checkpoint-coalescing"]["elided"] == 1
 
     def test_observe_counters_emitted(self):
         from repro.observe import with_tracing
@@ -210,7 +199,6 @@ class TestCheckElision:
         counters = tracer.metrics.as_dict()["counters"]
         assert counters["analysis.checks_elided.int64"] >= 1
         assert counters["analysis.checks_elided.bounds"] >= 1
-        assert counters["analysis.checks_elided.checkpoints"] == 1
 
 
 class TestFactConsistency:
@@ -235,17 +223,6 @@ class TestFactConsistency:
                     instruction.properties.get("elided_check")
                 ):
                     del instruction.properties["elided_check"]
-        found = verify_function(function)
-        assert any(d.invariant == "analysis.fact" for d in found)
-
-    def test_phantom_coalesced_header_flagged(self):
-        from repro.analyze import verify_function
-
-        _, program = compile_kernel(OVERFLOW_KERNEL)
-        function = main_function(program)
-        headers = dict(function.information["CoalescedHeaders"])
-        headers["no_such_block(9)"] = 4
-        function.information["CoalescedHeaders"] = headers
         found = verify_function(function)
         assert any(d.invariant == "analysis.fact" for d in found)
 
@@ -356,4 +333,4 @@ class TestStatsOneLiner:
         text = out.getvalue()
         assert "Out[2]= 1275" in text
         assert "checks elided:" in text
-        assert "int64" in text and "checkpoints" in text
+        assert "int64" in text and "bounds" in text

@@ -70,13 +70,15 @@ class TestF3AbortableEvaluation:
         assert "_check_abort()" in f.generated_source
 
     def test_bytecode_vm_polls_on_back_edges(self):
-        # structural check: the VM polls the abort source on backward jumps
+        # structural check: the VM tests the interrupt cell on backward
+        # jumps and runs the checkpoint slow path (abort + guard) when set
         import inspect
 
         from repro.bytecode.vm import WVM
 
         dispatch_loop = getattr(WVM, "_run", WVM.run)
-        assert "abort_poll" in inspect.getsource(dispatch_loop)
+        source = inspect.getsource(dispatch_loop)
+        assert "irq[0]" in source and "guard_checkpoint()" in source
 
 
 class TestF4BackendSupport:

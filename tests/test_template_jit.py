@@ -17,6 +17,7 @@ Covers the three layers of the tentpole:
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -250,26 +251,29 @@ class TestDemotionLadder:
 
 class TestAbortAndGuards:
     def test_abort_delivered_at_loop_header(self, hosted):
-        # the stitched _checkpoint captures abort_pending at compile time,
-        # so install the probe before stitching
-        calls = {"count": 0}
+        # the loop never ends on its own: only a loop-header checkpoint can
+        # deliver the abort requested while it spins
+        artifact = _stitch(
+            "{{n, _Integer}}",
+            "Module[{i = 0}, While[i >= 0, i = i + 1]; i]",
+            evaluator=hosted,
+        )
+        outcome = {}
 
-        def abort_soon():
-            calls["count"] += 1
-            return calls["count"] > 50
+        def spin():
+            try:
+                outcome["result"] = artifact(1)
+            except WolframAbort:
+                outcome["result"] = "aborted"
 
-        hosted.abort_pending = abort_soon
-        try:
-            artifact = _stitch(
-                "{{n, _Integer}}",
-                "Module[{i = 0}, While[i < n, i = i + 1]; i]",
-                evaluator=hosted,
-            )
-            with pytest.raises(WolframAbort):
-                artifact(10_000)
-        finally:
-            del hosted.abort_pending
-        assert calls["count"] > 50  # delivered at a loop header, not late
+        worker = threading.Thread(target=spin)
+        worker.start()
+        time.sleep(0.1)
+        hosted.request_abort()
+        worker.join(timeout=10)
+        hosted.clear_abort()
+        assert not worker.is_alive(), "the loop-header checkpoint never fired"
+        assert outcome["result"] == "aborted"
 
     def test_step_budget_expires_inside_stitched_loop(self):
         artifact = _stitch(

@@ -6,14 +6,19 @@ circuit breakers, and the hotspot promotion table — are hammered here
 from many threads at once.  Before the locks these tests pin down, the
 races were: lost failure-log records, duplicated breaker demotion
 records, double-withdrawn promotions (KeyError), and torn tier counters.
+The abort tests at the end pin per-thread abort delivery: with one
+process-wide abort source, aborting one session aborted another's
+compiled loop, and an abort could be lost while another session called.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
+from repro.errors import WolframAbort
 from repro.runtime.guard import (
     DEFAULT_FAILURE_LOG_MAX,
     CircuitBreaker,
@@ -440,3 +445,199 @@ class TestGuardedSessionThreads:
                     assert full_form(value) == str(expected)
 
         hammer(worker)
+
+
+# -- per-thread abort delivery ------------------------------------------------
+
+SPIN_SPECS = "{{n, _Integer}}"
+SPIN_BODY = "Module[{i = 0}, While[i < n, i = i + 1]; i]"
+#: an iteration count no loop reaches: such a call ends only by abort
+FOREVER = 2 ** 62
+#: request-to-raise bound for an abort of a spinning loop, seconds
+ABORT_BOUND = 1.0
+
+
+def _spinner(tier: str, evaluator):
+    """``n -> n`` after counting to ``n``, compiled on ``tier`` for the
+    session ``evaluator``."""
+    from repro.mexpr import parse
+
+    if tier == "compiled":
+        from repro.compiler import FunctionCompile
+
+        return FunctionCompile(
+            'Function[{Typed[n, "MachineInteger"]}, ' + SPIN_BODY + "]",
+            evaluator=evaluator,
+        )
+    if tier == "template":
+        from repro.template_jit import compile_template_function
+
+        return compile_template_function(parse(SPIN_SPECS), parse(SPIN_BODY),
+                                         evaluator=evaluator)
+    from repro.bytecode import compile_function
+
+    return compile_function(parse(SPIN_SPECS), parse(SPIN_BODY), evaluator)
+
+
+class _Session:
+    """One engine session driving a compiled loop on a worker thread."""
+
+    def __init__(self, tier: str):
+        from repro.engine import Evaluator
+
+        self.evaluator = Evaluator()
+        self.spin = _spinner(tier, self.evaluator)
+        self.running = threading.Event()
+        self.stop = threading.Event()
+        self.outcome = None
+        self.aborted_at = None
+        self.calls = 0
+        self.thread = None
+
+    def _finish(self, call):
+        try:
+            call()
+        except WolframAbort:
+            self.aborted_at = time.perf_counter()
+            self.outcome = "aborted"
+        except Exception as error:  # pragma: no cover - the failure signal
+            self.outcome = error
+
+    def spin_forever(self) -> None:
+        def call():
+            self.running.set()
+            self.outcome = self.spin(FOREVER)
+
+        self._start(call)
+
+    def call_repeatedly(self) -> None:
+        def call():
+            while not self.stop.is_set():
+                assert self.spin(2000) == 2000
+                self.calls += 1
+                self.running.set()
+            self.outcome = "completed"
+
+        self._start(call)
+
+    def _start(self, call) -> None:
+        self.thread = threading.Thread(target=self._finish, args=(call,),
+                                       daemon=True)
+        self.thread.start()
+        assert self.running.wait(10)
+
+    def abort(self) -> float:
+        requested = time.perf_counter()
+        self.evaluator.request_abort()
+        return requested
+
+    def shut_down(self) -> None:
+        self.stop.set()
+        self.evaluator.request_abort()
+        self.thread.join(10)
+        self.evaluator.clear_abort()
+
+
+@pytest.mark.parametrize("tier", ["compiled", "template", "bytecode"])
+class TestAbortReachesOnlyItsSession:
+    """Two sessions on worker threads each run a compiled loop; an abort
+    goes to the session it names, and only to it."""
+
+    def test_aborting_b_spares_a(self, tier):
+        a, b = _Session(tier), _Session(tier)
+        try:
+            a.spin_forever()
+            b.spin_forever()
+            time.sleep(0.05)
+            requested = b.abort()
+            b.thread.join(ABORT_BOUND * 5)
+            assert b.outcome == "aborted"
+            assert b.aborted_at - requested < ABORT_BOUND
+            time.sleep(0.3)
+            assert a.thread.is_alive() and a.outcome is None
+        finally:
+            a.shut_down()
+            b.shut_down()
+        assert a.outcome == "aborted"  # its own abort still lands
+
+    def test_aborting_a_lands_while_b_keeps_calling(self, tier):
+        a, b = _Session(tier), _Session(tier)
+        try:
+            a.spin_forever()
+            b.call_repeatedly()
+            time.sleep(0.05)
+            before = b.calls
+            requested = a.abort()
+            a.thread.join(ABORT_BOUND * 5)
+            assert a.outcome == "aborted"
+            assert a.aborted_at - requested < ABORT_BOUND
+            time.sleep(0.1)
+            assert b.calls > before  # B kept calling, unaborted
+            b.stop.set()
+            b.thread.join(10)
+            assert b.outcome == "completed"
+        finally:
+            a.shut_down()
+            b.shut_down()
+
+    def test_abort_requested_before_the_call_fires(self, tier):
+        session = _Session(tier)
+        session.evaluator.request_abort()
+        try:
+            with pytest.raises(WolframAbort):
+                session.spin(FOREVER)
+        finally:
+            session.evaluator.clear_abort()
+        assert session.spin(10) == 10  # a cleared abort does not linger
+
+
+class TestAbortStress:
+    def test_each_abort_lands_once_on_its_session(self):
+        """More spinning sessions than cores and a short switch interval:
+        every abort must land on the session it names, exactly once, and
+        promptly — a lost raise times out, a misdelivered one miscounts."""
+        import random
+        import sys
+
+        from repro.engine import Evaluator
+
+        sessions = 6
+        evaluators = [Evaluator() for _ in range(sessions)]
+        spins = [_spinner("compiled", ev) for ev in evaluators]
+        landed = [0] * sessions
+        stop = threading.Event()
+
+        def worker(index: int) -> None:
+            while not stop.is_set():
+                try:
+                    spins[index](FOREVER)
+                except WolframAbort:
+                    evaluators[index].clear_abort()
+                    landed[index] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        pool = [threading.Thread(target=worker, args=(i,), daemon=True)
+                for i in range(sessions)]
+        requested = [0] * sessions
+        rng = random.Random(5)
+        try:
+            for thread in pool:
+                thread.start()
+            for _ in range(24):
+                target = rng.randrange(sessions)
+                requested[target] += 1
+                evaluators[target].request_abort()
+                deadline = time.monotonic() + ABORT_BOUND * 5
+                while landed[target] < requested[target]:
+                    assert time.monotonic() < deadline, "abort was lost"
+                    time.sleep(0.001)
+                assert landed == requested
+        finally:
+            stop.set()
+            for evaluator in evaluators:
+                evaluator.request_abort()
+            for thread in pool:
+                thread.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)

@@ -2,7 +2,9 @@
 
 Workload sizes follow ``REPRO_BENCH_SCALE`` (default: small CI-friendly
 sizes; 1.0 = the paper's sizes).  Compiled artifacts are cached per session
-so pytest-benchmark timings measure execution, not compilation.
+so pytest-benchmark timings measure execution, not compilation.  The
+persistent artifact cache is off, as in ``tests/``: a compile-time figure
+must time the pipeline, not a hit read from ``~/.cache/repro``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,15 @@ def pytest_addoption(parser):
         "--repro-scale", type=float, default=None,
         help="workload scale (1.0 = paper sizes); overrides REPRO_BENCH_SCALE",
     )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _artifact_cache_off():
+    """Hermetic benchmarks: no compile reads or writes the user's (or the
+    CI runner's) persistent artifact cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_ARTIFACT_CACHE", "off")
+        yield
 
 
 @pytest.fixture(scope="session")

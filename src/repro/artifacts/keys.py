@@ -151,10 +151,12 @@ def bytecode_key(specs: MExpr, body: MExpr, versions) -> str:
 
 
 def type_to_wire(type_) -> dict:
-    """Serialize a signature type (atomic / compound / literal)."""
+    """Serialize a signature type (atomic / compound / literal /
+    function, the last for callback parameters such as a comparator)."""
     from repro.compiler.types.specifier import (
         AtomicType,
         CompoundType,
+        FunctionType,
         TypeLiteral,
     )
 
@@ -167,6 +169,11 @@ def type_to_wire(type_) -> dict:
             "c": type_.constructor,
             "p": [type_to_wire(p) for p in type_.params],
         }
+    if isinstance(type_, FunctionType):
+        return {
+            "f": [type_to_wire(p) for p in type_.params],
+            "r": type_to_wire(type_.result),
+        }
     raise TypeError(f"cannot serialize signature type {type_!r}")
 
 
@@ -175,6 +182,7 @@ def type_from_wire(payload: dict):
     from repro.compiler.types.specifier import (
         AtomicType,
         CompoundType,
+        FunctionType,
         TypeLiteral,
     )
 
@@ -186,5 +194,10 @@ def type_from_wire(payload: dict):
         return CompoundType(
             payload["c"],
             tuple(type_from_wire(p) for p in payload["p"]),
+        )
+    if "f" in payload:
+        return FunctionType(
+            tuple(type_from_wire(p) for p in payload["f"]),
+            type_from_wire(payload["r"]),
         )
     raise ValueError(f"unknown type wire payload {payload!r}")

@@ -36,9 +36,18 @@ Operational behaviour
 * **atomic writes** — entries are written to a temp file in the same
   directory and ``os.replace``d into place, so a concurrent reader sees
   either the whole entry or none of it;
-* **LRU size cap** — after each store the tree is swept and the
-  least-recently-used entries (file mtime; hits refresh it) are evicted
-  until total size fits ``REPRO_ARTIFACT_CACHE_MAX`` bytes;
+* **LRU size cap** — each store instance keeps a running byte total of
+  the tree, so a store costs one write, not a walk of every object.  Its
+  own stores and evictions change the tree under one lock, so the total
+  is exact for them.  The tree is walked only at an instance's first
+  store and at a store that takes the running total over
+  ``REPRO_ARTIFACT_CACHE_MAX`` bytes; that walk re-syncs the total from
+  disk and evicts the least-recently-used entries (file mtime; hits
+  refresh it) until the tree fits.  Writes by other processes sharing
+  the root are seen at this instance's next walk, so a shared tree can
+  exceed the cap by what they stored since then; every process still
+  walks at its first store, which keeps short-lived CLI processes
+  enforcing the cap;
 * **observability** — lookups and stores run inside ``artifact.cache``
   spans, and ``artifact.cache.hits`` / ``.misses`` / ``.stores`` /
   ``.evictions`` / ``.corrupt`` counters land in the observe metrics
@@ -108,7 +117,10 @@ class ArtifactStore:
             "hits": 0, "misses": 0, "stores": 0,
             "evictions": 0, "corrupt": 0,
         }
+        #: guards every change this instance makes to the tree
         self._lock = threading.Lock()
+        #: running byte total of the tree; ``None`` until the first walk
+        self._total: Optional[int] = None
 
     # -- paths ---------------------------------------------------------------
 
@@ -168,20 +180,21 @@ class ArtifactStore:
         entry["schema"] = ENTRY_SCHEMA
         entry["key"] = digest
         try:
-            text = json.dumps(entry, separators=(",", ":"))
+            data = json.dumps(entry, separators=(",", ":")).encode("utf-8")
         except (TypeError, ValueError):
             return None
         path = self._object_path(digest)
         with _observe.span("artifact.cache", "artifact", op="put",
-                           key=digest[:12], bytes=len(text)):
+                           key=digest[:12], bytes=len(data)), self._lock:
+            replaced = _file_size(path)
             try:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 fd, tmp = tempfile.mkstemp(
                     dir=os.path.dirname(path), suffix=".tmp"
                 )
                 try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        handle.write(text)
+                    with os.fdopen(fd, "wb") as handle:
+                        handle.write(data)
                     os.replace(tmp, path)  # atomic write-rename
                 except BaseException:
                     try:
@@ -192,23 +205,30 @@ class ArtifactStore:
             except OSError:
                 return None
             self._count("stores")
-            self._enforce_cap(keep=digest)
+            self._enforce_cap(digest, len(data) - replaced)
         return path
 
     def evict(self, digest: str) -> bool:
-        try:
-            os.unlink(self._object_path(digest))
-        except OSError:
-            return False
+        path = self._object_path(digest)
+        with self._lock:
+            size = _file_size(path)
+            try:
+                os.unlink(path)
+            except OSError:
+                return False
+            if self._total is not None:
+                self._total -= size
         self._count("evictions")
         return True
 
     def clear(self) -> None:
-        for path, _, _ in self._entries():
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        with self._lock:
+            for path, _, _ in self._entries():
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
+            self._total = None
 
     # -- size management -----------------------------------------------------
 
@@ -236,17 +256,21 @@ class ArtifactStore:
     def size_bytes(self) -> int:
         return sum(size for _, _, size in self._entries())
 
-    def _enforce_cap(self, keep: Optional[str] = None) -> None:
-        """Evict least-recently-used entries until under ``max_bytes``.
-
-        ``keep`` names the just-stored digest, exempt from this sweep so
-        a store can never evict its own entry."""
-        with self._lock:
-            entries = self._entries()
-            total = sum(size for _, _, size in entries)
-            if total <= self.max_bytes:
+    def _enforce_cap(self, keep: str, added: int) -> None:
+        """Account for ``added`` bytes just stored under ``keep``; walk
+        the tree only on this instance's first store or when the running
+        total exceeds ``max_bytes``.  The walk re-syncs the total from
+        disk and evicts least-recently-used entries until under
+        ``max_bytes``; ``keep`` is exempt, so a store can never evict its
+        own entry.  The caller holds ``self._lock``."""
+        if self._total is not None:
+            self._total += added
+            if self._total <= self.max_bytes:
                 return
-            keep_path = self._object_path(keep) if keep else None
+        entries = self._entries()
+        total = sum(size for _, _, size in entries)
+        if total > self.max_bytes:
+            keep_path = self._object_path(keep)
             for path, _, size in sorted(entries, key=lambda e: e[1]):
                 if path == keep_path:
                     continue
@@ -257,13 +281,21 @@ class ArtifactStore:
                 self._count("evictions")
                 total -= size
                 if total <= self.max_bytes:
-                    return
+                    break
+        self._total = total
 
     # -- counters ------------------------------------------------------------
 
     def _count(self, name: str) -> None:
         self.stats[name] += 1
         _observe.count(f"artifact.cache.{name}")
+
+
+def _file_size(path: str) -> int:
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0
 
 
 #: store instances keyed by (root, max_bytes); the store holds no open

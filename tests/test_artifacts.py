@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -80,6 +81,28 @@ class TestKeys:
     def test_runtime_fingerprint_is_stable_hex(self):
         assert runtime_fingerprint() == runtime_fingerprint()
         assert len(runtime_fingerprint()) == 64
+
+    def test_function_type_roundtrips(self):
+        """A callback parameter's type survives the entry wire form."""
+        from repro.artifacts import type_from_wire, type_to_wire
+        from repro.compiler.types.specifier import (
+            AtomicType,
+            CompoundType,
+            FunctionType,
+        )
+
+        less = FunctionType(
+            (AtomicType("Integer64"), AtomicType("Integer64")),
+            AtomicType("Boolean"),
+        )
+        nested = FunctionType(
+            (less, CompoundType("Tensor", (AtomicType("Real64"),))),
+            AtomicType("Integer64"),
+        )
+        for type_ in (less, nested):
+            wire = type_to_wire(type_)
+            assert json.loads(json.dumps(wire)) == wire
+            assert type_from_wire(wire) == type_
 
     def test_interrupt_cell_source_busts_fingerprint(
         self, monkeypatch, tmp_path
@@ -164,9 +187,105 @@ class TestStore:
         store.put(digest, {"kind": "python", "x": 1})
         assert store.get(digest)["x"] == 1  # recompile-and-store recovers
 
+    def test_evict_subtracts_from_running_total(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        store.put("a1" * 32, {"kind": "python", "pad": "x" * 100})
+        store.put("a2" * 32, {"kind": "python", "pad": "y" * 200})
+        store.put("a2" * 32, {"kind": "python", "pad": "z" * 50})
+        assert store._total == store.size_bytes()
+        assert store.evict("a1" * 32)
+        assert store._total == store.size_bytes()
+
     def test_disabled_by_default_in_tests(self):
         # conftest pins REPRO_ARTIFACT_CACHE=off for hermeticity
         assert get_store() is None
+
+
+# -- the running byte total: puts walk the tree only when they must -----------
+
+
+def _count_walks(monkeypatch) -> list:
+    """Record every walk of any store's tree (``ArtifactStore._entries``)."""
+    walks = []
+    original = ArtifactStore._entries
+
+    def spy(self):
+        walks.append(self.root)
+        return original(self)
+
+    monkeypatch.setattr(ArtifactStore, "_entries", spy)
+    return walks
+
+
+def _fill(store, count, pad=100, prefix=0):
+    digests = [f"{prefix:02x}{i:04x}".ljust(64, "0") for i in range(count)]
+    for digest in digests:
+        assert store.put(digest, {"kind": "python", "pad": "x" * pad})
+    return digests
+
+
+class TestRunningTotal:
+    def test_puts_below_cap_walk_once(self, tmp_path, monkeypatch):
+        _fill(ArtifactStore(str(tmp_path)), 300)
+        store = ArtifactStore(str(tmp_path))
+        walks = _count_walks(monkeypatch)
+        _fill(store, 50, prefix=1)
+        assert len(walks) == 1  # only the instance's first put
+        assert store._total == store.size_bytes()
+        assert store.stats["evictions"] == 0
+
+    def test_put_over_cap_walks_and_sweeps(self, tmp_path, monkeypatch):
+        entry_size = len(json.dumps(
+            {"kind": "python", "pad": "x" * 100, "schema": 1,
+             "key": "0" * 64}, separators=(",", ":")))
+        store = ArtifactStore(str(tmp_path), max_bytes=20 * entry_size)
+        walks = _count_walks(monkeypatch)
+        digests = _fill(store, 20)
+        assert len(walks) == 1 and store.stats["evictions"] == 0
+        store.put("ff" * 32, {"kind": "python", "pad": "x" * 100})
+        assert len(walks) == 2  # the put over the cap re-syncs
+        assert store.size_bytes() <= store.max_bytes
+        assert store._total == store.size_bytes()
+        assert store.stats["evictions"] == 1
+        assert store.get(digests[0]) is None  # the oldest went first
+        assert store.get("ff" * 32) is not None
+
+    def test_second_instance_counts_first_instances_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        first = ArtifactStore(str(tmp_path))
+        _fill(first, 40)
+        cap = first.size_bytes() // 2
+        second = ArtifactStore(str(tmp_path), max_bytes=cap)
+        walks = _count_walks(monkeypatch)
+        second.put("ee" * 32, {"kind": "python", "pad": "y" * 100})
+        assert len(walks) == 1
+        assert second.stats["evictions"] > 0
+        assert second.size_bytes() <= cap
+        assert second._total == second.size_bytes()
+        assert second.get("ee" * 32) is not None
+
+    @pytest.mark.parametrize("max_bytes", [None, 3000])
+    def test_threaded_puts_keep_total_exact(self, tmp_path, max_bytes):
+        store = ArtifactStore(str(tmp_path), max_bytes=max_bytes)
+        start = threading.Barrier(4)
+
+        def worker(prefix):
+            start.wait()
+            digests = _fill(store, 25, pad=20 + prefix * 10, prefix=prefix)
+            for digest in digests[::3]:
+                store.evict(digest)
+
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert store._total == store.size_bytes()
+        if max_bytes is not None:
+            assert store.size_bytes() <= max_bytes
+            assert store.stats["evictions"] > 4 * 9
 
 
 # -- FunctionCompile wiring --------------------------------------------------
@@ -229,6 +348,29 @@ class TestFunctionCompileCache:
         assert artifact_cache.stats["stores"] == 2
         assert "if _irq[0]: _check_abort()" in fresh.generated_source
         assert fresh(30) == 832040
+
+    def test_callback_signature_hits_with_zero_pipeline_passes(
+        self, artifact_cache
+    ):
+        """QSort takes its comparator as a function-typed parameter; the
+        signature's wire form must carry it or every warm compile
+        misses."""
+        from repro.benchsuite import programs
+
+        data = [5, 3, 9, 1, 7, 2, 8]
+
+        def less(a, b):
+            return a < b
+
+        cold = FunctionCompile(programs.NEW_QSORT)
+        assert artifact_cache.stats["stores"] == 1
+        with with_tracing() as tracer:
+            warm = FunctionCompile(programs.NEW_QSORT)
+        assert artifact_cache.stats["hits"] == 1
+        assert _pass_spans(tracer) == []
+        assert warm.signature == cold.signature
+        assert list(warm(data, less).data) == list(cold(data, less).data) \
+            == sorted(data)
 
     def test_restored_function_demotes_to_bytecode(self, artifact_cache):
         """A cache-restored function can still materialize its program
